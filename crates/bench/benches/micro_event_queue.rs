@@ -1,13 +1,14 @@
 //! Micro-bench: the future-event list.
 //!
-//! Push/pop throughput at the queue sizes the model actually reaches
-//! (tens to a few thousands of pending events) — the simulator's hottest
+//! Push/pop throughput of the reference binary heap (`EventQueue`) and the
+//! production 4-ary heap (`QuadHeap`) at the queue sizes the model
+//! actually reaches (tens to 10⁵ pending events) — the simulator's hottest
 //! data structure.
 
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use lockgran_sim::{CalendarQueue, EventQueue, Time};
+use lockgran_sim::{EventQueue, QuadHeap, Time};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
@@ -29,10 +30,10 @@ fn bench(c: &mut Criterion) {
     }
     for &n in &[64usize, 1024, 16384] {
         group.bench_with_input(
-            BenchmarkId::new("calendar_push_pop_cycle", n),
+            BenchmarkId::new("quadheap_push_pop_cycle", n),
             &n,
             |b, &n| {
-                let mut q = CalendarQueue::new();
+                let mut q = QuadHeap::new();
                 for i in 0..n {
                     q.push(Time::from_ticks((i as u64) * 7 % 10_000), i as u64);
                 }
@@ -61,6 +62,20 @@ fn bench(c: &mut Criterion) {
                 }
             },
         );
+    });
+    // The `capacity` set-up shape: every one of 10⁵ resident transactions
+    // schedules its first event in time order, then the list drains. One
+    // queue is reused across iterations, as `RunArena` reuses its FEL.
+    group.bench_function("bootstrap_push_100k", |b| {
+        let mut q = QuadHeap::new();
+        b.iter(|| {
+            for i in 0..100_000u64 {
+                q.push(Time::from_ticks(i / 3), i);
+            }
+            while let Some(e) = q.pop() {
+                black_box(e);
+            }
+        });
     });
     group.finish();
 }

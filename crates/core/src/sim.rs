@@ -21,13 +21,13 @@ use crate::trace::VecTracer;
 /// # Panics
 /// Panics if `cfg.validate()` fails.
 pub fn run(cfg: &ModelConfig, seed: u64) -> RunMetrics {
-    run_with_fel(cfg, seed, FelKind::Calendar)
+    run_with_fel(cfg, seed, FelKind::QuadHeap)
 }
 
 /// Run one simulation with an explicit future-event-list choice.
 ///
-/// Production paths use the calendar queue (O(1) amortized); the binary
-/// heap remains available as the reference implementation. Both order
+/// Production paths use the flat 4-ary heap ([`FelKind::QuadHeap`]); the
+/// std binary heap ([`FelKind::Heap`]) remains as the reference. Both order
 /// events by the same stable `(time, seq)` key, so the returned metrics
 /// are bit-identical across kinds — `tests/fel_identity.rs` holds the
 /// engine to exactly that.
@@ -48,7 +48,7 @@ pub fn run_with_fel(cfg: &ModelConfig, seed: u64, fel: FelKind) -> RunMetrics {
 /// [`RunArena::run`] is bit-identical to [`run`] — the reset paths
 /// ([`Executor::reset`], [`System::reset`]) restore fresh-construction
 /// semantics — but keeps every grown allocation: the future-event list's
-/// buckets, the transaction slab's buffers (drained into the carcass
+/// storage, the transaction slab's buffers (drained into the carcass
 /// pool), the conflict model's tables, and the workload generator's lock
 /// memo. At capacity scale (10⁵ resident transactions, 10⁷-entity
 /// databases) rebuilding that state dominates short sweep points, so the
@@ -69,7 +69,7 @@ impl RunArena {
     /// An empty arena (production FEL, no system yet).
     pub fn new() -> Self {
         RunArena {
-            ex: Executor::with_fel(FelKind::Calendar),
+            ex: Executor::new(),
             system: None,
         }
     }
@@ -102,7 +102,7 @@ impl RunArena {
 /// # Panics
 /// Panics if `cfg.validate()` fails.
 pub fn run_traced(cfg: &ModelConfig, seed: u64) -> (RunMetrics, VecTracer) {
-    let mut ex = Executor::with_fel(FelKind::Calendar);
+    let mut ex = Executor::new();
     let mut system = System::new(cfg, seed, &mut ex);
     system.enable_tracing();
     let horizon = system.tmax();
@@ -125,7 +125,7 @@ pub fn run_timeline(
     interval: f64,
 ) -> (RunMetrics, Vec<TimelinePoint>) {
     assert!(interval > 0.0, "sampling interval must be positive");
-    let mut ex = Executor::with_fel(FelKind::Calendar);
+    let mut ex = Executor::new();
     let mut system = System::new(cfg, seed, &mut ex);
     system.enable_timeline(interval, &mut ex);
     let horizon = system.tmax();

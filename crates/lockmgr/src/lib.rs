@@ -16,8 +16,9 @@
 //!
 //! * [`mode`] — lock modes `S`/`X` plus the intention modes `IS`/`IX`/`SIX`
 //!   with Gray's compatibility matrix.
-//! * [`table`] — an ordered-map lock table with granted groups and FIFO wait
-//!   queues (no starvation: a request conflicts with earlier waiters too).
+//! * [`table`] — a lock table over a deterministic hash map
+//!   ([`lockgran_sim::DetMap`]) with granted groups and FIFO wait queues
+//!   (no starvation: a request conflicts with earlier waiters too).
 //! * [`conservative`] — static (pre-declaration) locking, the protocol the
 //!   paper simulates: all locks are acquired before any resource is used,
 //!   so deadlock is impossible.

@@ -7,14 +7,14 @@
 //! queues, servers, blocking — lives in the model, which keeps this kernel
 //! reusable and trivially testable.
 //!
-//! The future-event list is pluggable via [`FelKind`]: the binary-heap
-//! [`EventQueue`] (O(log n) per op, zero tuning) or the bucketed
-//! [`CalendarQueue`] (O(1) amortized). Both order events by the same
-//! stable `(time, seq)` key, so a model observes the identical event
-//! sequence — and therefore makes the identical RNG draws — under either.
+//! The future-event list is pluggable via [`FelKind`]: the production
+//! flat 4-ary [`QuadHeap`] or the std-`BinaryHeap` [`EventQueue`] that
+//! tests hold it against. Both order events by the same stable
+//! `(time, seq)` key, so a model observes the identical event sequence —
+//! and therefore makes the identical RNG draws — under either.
 
-use crate::calendar::CalendarQueue;
 use crate::event::EventQueue;
+use crate::quadheap::QuadHeap;
 use crate::time::{Dur, Time};
 
 /// A discrete-event model: reacts to its own event type, scheduling
@@ -31,10 +31,20 @@ pub trait Model {
 /// Which future-event list implementation an [`Executor`] pumps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FelKind {
-    /// Binary-heap [`EventQueue`]: O(log n), no tuning, the reference.
+    /// Std-`BinaryHeap` [`EventQueue`]: the reference oracle tests compare
+    /// the production FEL against.
     Heap,
-    /// [`CalendarQueue`]: O(1) amortized, self-resizing buckets.
-    Calendar,
+    /// Flat 4-ary [`QuadHeap`]: the production FEL.
+    QuadHeap,
+}
+
+impl FelKind {
+    /// The production FEL under its former name. It exists only because
+    /// the host-time benchmark (`perfbench/`) still spells
+    /// `FelKind::Calendar`; it goes when a benchmark change renames that
+    /// call.
+    #[allow(non_upper_case_globals)]
+    pub const Calendar: FelKind = FelKind::QuadHeap;
 }
 
 /// The future-event list behind an executor. Both variants share the
@@ -43,44 +53,42 @@ pub enum FelKind {
 /// documents).
 enum Fel<E> {
     Heap(EventQueue<E>),
-    Calendar(CalendarQueue<E>),
+    QuadHeap(QuadHeap<E>),
 }
 
 impl<E> Fel<E> {
     fn push(&mut self, at: Time, event: E) {
         match self {
             Fel::Heap(q) => q.push(at, event),
-            Fel::Calendar(q) => q.push(at, event),
+            Fel::QuadHeap(q) => q.push(at, event),
         }
     }
 
     fn pop(&mut self) -> Option<(Time, E)> {
         match self {
             Fel::Heap(q) => q.pop(),
-            Fel::Calendar(q) => q.pop(),
+            Fel::QuadHeap(q) => q.pop(),
         }
     }
 
-    /// `&mut` because the calendar's peek advances its day cursor (the
-    /// contents are untouched and the result is stable across calls).
-    fn peek_time(&mut self) -> Option<Time> {
+    fn peek_time(&self) -> Option<Time> {
         match self {
             Fel::Heap(q) => q.peek_time(),
-            Fel::Calendar(q) => q.peek_time(),
+            Fel::QuadHeap(q) => q.peek_time(),
         }
     }
 
     fn len(&self) -> usize {
         match self {
             Fel::Heap(q) => q.len(),
-            Fel::Calendar(q) => q.len(),
+            Fel::QuadHeap(q) => q.len(),
         }
     }
 
     fn clear(&mut self) {
         match self {
             Fel::Heap(q) => q.clear(),
-            Fel::Calendar(q) => q.clear(),
+            Fel::QuadHeap(q) => q.clear(),
         }
     }
 }
@@ -100,17 +108,16 @@ impl<E> Default for Executor<E> {
 
 impl<E> Executor<E> {
     /// A fresh executor with the clock at [`Time::ZERO`], pumping the
-    /// binary-heap FEL (the no-tuning reference; production runs use
-    /// [`Executor::with_fel`] to pick the calendar).
+    /// production FEL ([`FelKind::QuadHeap`]).
     pub fn new() -> Self {
-        Self::with_fel(FelKind::Heap)
+        Self::with_fel(FelKind::QuadHeap)
     }
 
     /// A fresh executor pumping the chosen future-event list.
     pub fn with_fel(kind: FelKind) -> Self {
         let queue = match kind {
             FelKind::Heap => Fel::Heap(EventQueue::new()),
-            FelKind::Calendar => Fel::Calendar(CalendarQueue::new()),
+            FelKind::QuadHeap => Fel::QuadHeap(QuadHeap::new()),
         };
         Executor {
             queue,
@@ -294,7 +301,7 @@ mod tests {
     /// for both FEL kinds.
     #[test]
     fn reset_executor_replays_identically() {
-        for kind in [FelKind::Heap, FelKind::Calendar] {
+        for kind in [FelKind::Heap, FelKind::QuadHeap] {
             let drive = |ex: &mut Executor<Tagged>| {
                 let mut m = Recorder::default();
                 for i in 0..80u32 {
@@ -319,7 +326,7 @@ mod tests {
     /// including FIFO ties — which is the bit-identity foundation the
     /// production engine relies on.
     #[test]
-    fn heap_and_calendar_executors_see_identical_sequences() {
+    fn reference_and_production_executors_see_identical_sequences() {
         let run = |kind: FelKind| {
             let mut m = Recorder::default();
             let mut ex = Executor::with_fel(kind);
@@ -329,6 +336,6 @@ mod tests {
             ex.run(&mut m, Time::from_ticks(1_000));
             m.seen
         };
-        assert_eq!(run(FelKind::Heap), run(FelKind::Calendar));
+        assert_eq!(run(FelKind::Heap), run(FelKind::QuadHeap));
     }
 }

@@ -5,6 +5,9 @@
 //! simultaneous events **stable FIFO** — whoever scheduled first fires
 //! first — which is essential for reproducibility: a plain binary heap
 //! breaks ties arbitrarily and would make runs depend on heap layout.
+//!
+//! This is the reference FEL ([`crate::FelKind::Heap`]): the production
+//! [`crate::QuadHeap`] is tested against it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

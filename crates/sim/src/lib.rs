@@ -8,8 +8,10 @@
 //! * [`time`] — an integer-tick simulated clock ([`Time`], [`Dur`]). Using
 //!   integer ticks instead of `f64` seconds makes event ordering exact and
 //!   runs bit-for-bit reproducible across platforms.
-//! * [`event`] — a future-event list ([`EventQueue`]) with stable FIFO
-//!   ordering among simultaneous events.
+//! * [`event`] and [`quadheap`] — future-event lists with stable FIFO
+//!   ordering among simultaneous events: the std-`BinaryHeap`
+//!   [`EventQueue`] reference and the flat 4-ary [`QuadHeap`] that
+//!   production runs pump.
 //! * [`engine`] — a minimal executor ([`Executor`], [`Model`]) that pumps
 //!   events into a user model until a horizon is reached.
 //! * [`server`] — a single-server resource ([`Server`]) with two priority
@@ -64,23 +66,23 @@
 
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod detmap;
 pub mod engine;
 pub mod event;
 pub mod json;
 pub mod pool;
+pub mod quadheap;
 pub mod rng;
 pub mod server;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use detmap::DetMap;
 pub use engine::{Executor, FelKind, Model};
 pub use event::EventQueue;
 pub use json::{FromJson, Json, ToJson};
 pub use pool::{TaskPanic, WorkerPool};
+pub use quadheap::QuadHeap;
 pub use rng::SimRng;
 pub use server::{
     CancelOutcome, Class, Completion, CompletionOutcome, Discipline, Job, JobId, Server, Token,

@@ -6,8 +6,8 @@
 //! case), so every failure is reproducible from the printed case number.
 
 use lockgran_sim::{
-    CalendarQueue, Class, CompletionOutcome, Dur, EventQueue, Job, JobId, Server, SimRng, Tally,
-    Time, TimeWeighted,
+    Class, CompletionOutcome, Dur, EventQueue, Job, JobId, QuadHeap, Server, SimRng, Tally, Time,
+    TimeWeighted,
 };
 
 const CASES: u64 = 64;
@@ -37,27 +37,27 @@ fn event_queue_is_stable_sort() {
     }
 }
 
-/// The calendar queue agrees with the heap queue under an arbitrary
-/// interleaving of pushes and pops (the simulation access pattern:
-/// never push into the past).
+/// The production 4-ary heap agrees with the reference heap queue under
+/// an arbitrary interleaving of pushes and pops (the simulation access
+/// pattern: never push into the past).
 #[test]
-fn calendar_matches_heap() {
+fn quadheap_matches_heap() {
     for case in 0..CASES {
-        let mut rng = case_rng("calendar_matches_heap", case);
+        let mut rng = case_rng("quadheap_matches_heap", case);
         let len = rng.uniform_inclusive(1, 299);
         let script: Vec<(u64, bool)> = (0..len)
             .map(|_| (rng.uniform_inclusive(0, 399), rng.bernoulli(0.5)))
             .collect();
 
-        let mut cal = CalendarQueue::new();
+        let mut quad = QuadHeap::new();
         let mut heap = EventQueue::new();
         let mut clock = 0u64;
         for (id, (delay, do_pop)) in script.into_iter().enumerate() {
             let id = id as u64;
-            cal.push(Time::from_ticks(clock + delay), id);
+            quad.push(Time::from_ticks(clock + delay), id);
             heap.push(Time::from_ticks(clock + delay), id);
             if do_pop {
-                let a = cal.pop();
+                let a = quad.pop();
                 let b = heap.pop();
                 assert_eq!(a, b, "case {case}");
                 if let Some((t, _)) = a {
@@ -66,7 +66,7 @@ fn calendar_matches_heap() {
             }
         }
         loop {
-            let a = cal.pop();
+            let a = quad.pop();
             let b = heap.pop();
             assert_eq!(a, b, "case {case}");
             if a.is_none() {

@@ -44,6 +44,12 @@ QUICK_PROP=1 cargo test --offline -q -p lockgran-lockmgr --test prop_difftable
 echo "== cargo test"
 cargo test --offline --workspace -q
 
+echo "== perfbench tests (the host-time benchmark still builds against the library)"
+# perfbench is a package of its own, outside the workspace, so the steps
+# above never compile it: a public-API change it depends on would pass
+# them and break the benchmark.
+cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== determinism under parallelism (jobs = 1/2/8 byte-identical)"
 cargo test --offline -q --test parallel_determinism
 

@@ -1,11 +1,11 @@
-//! Future-event-list identity: the calendar queue is a pure performance
-//! substitution for the binary heap. Both order events by the same stable
-//! `(time, seq)` key, so every simulation output — metrics, float
-//! rounding, RNG consumption — must be byte-identical across FEL kinds.
+//! Future-event-list identity: the production 4-ary heap is a pure
+//! performance substitution for the reference binary heap. Both order
+//! events by the same stable `(time, seq)` key, so every simulation
+//! output — metrics, float rounding, RNG consumption — must be
+//! byte-identical across FEL kinds.
 //!
-//! This is what lets `core::sim::run` default to the calendar queue while
-//! every committed artifact (regenerated with the heap in earlier PRs)
-//! stays bit-for-bit unchanged.
+//! This is what lets `core::sim::run` default to the production FEL while
+//! every committed artifact stays bit-for-bit unchanged.
 
 use lockgran_core::sim::run_with_fel;
 use lockgran_core::{ConflictMode, LockDistribution, ModelConfig, ServiceVariability};
@@ -21,13 +21,13 @@ fn fingerprint(cfg: &ModelConfig, seed: u64, fel: FelKind) -> String {
 fn assert_identical(label: &str, cfg: &ModelConfig) {
     for seed in [42, 7, 12345] {
         let heap = fingerprint(cfg, seed, FelKind::Heap);
-        let calendar = fingerprint(cfg, seed, FelKind::Calendar);
-        assert_eq!(heap, calendar, "{label}, seed {seed}: FEL kinds diverged");
+        let production = fingerprint(cfg, seed, FelKind::QuadHeap);
+        assert_eq!(heap, production, "{label}, seed {seed}: FEL kinds diverged");
     }
 }
 
 /// The Table 1 baseline — the configuration every figure sweeps from —
-/// run long enough to push the calendar queue through resize bands.
+/// run long enough for the event list to grow, churn and shrink.
 #[test]
 fn table1_baseline_is_fel_independent() {
     assert_identical("table1", &ModelConfig::table1().with_tmax(2_000.0));
@@ -81,7 +81,7 @@ fn model_variants_are_fel_independent() {
 }
 
 /// Failures and repairs inject far-future events (repair times) next to
-/// near-future ones — the sparse-bucket worst case for a calendar queue.
+/// near-future ones, so the event list holds widely spread times.
 #[test]
 fn failure_runs_are_fel_independent() {
     let cfg = ModelConfig::table1()

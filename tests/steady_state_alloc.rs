@@ -3,31 +3,59 @@
 //! per-event, per-transaction, or per-request allocation at all.
 //!
 //! Every hot-path buffer is recycled: the slab reuses transaction slots
-//! and one retired carcass, `TransactionSpec::processors` is drawn
-//! in-place, lock/stage share vectors are taken and restored around each
-//! submission, conflict waiter lists are recycled through a spare pool,
-//! and both FELs reuse their backing storage once capacities settle.
+//! and a pool of completed-transaction carcasses,
+//! `TransactionSpec::processors` is drawn in-place, lock/stage share
+//! vectors are taken and restored around each submission, conflict waiter
+//! lists are recycled through a spare pool, and the event list reuses its
+//! backing storage once the population has peaked.
 //! This test is the proof: a `#[global_allocator]` wrapper counts every
 //! `alloc`/`realloc`, and the count must not move across the measured
 //! half of the run.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lockgran_core::system::System;
 use lockgran_core::{ConflictMode, ModelConfig};
-use lockgran_sim::{Executor, FelKind, Time};
+use lockgran_sim::{Executor, Time};
 
 /// Passthrough allocator that counts heap acquisitions (`alloc` and
 /// `realloc`; `dealloc` is free to run — returning memory is not the
-/// failure mode this test polices).
+/// failure mode this test polices) made by a thread that armed it.
+///
+/// The harness runs these tests on parallel threads, so a process-wide
+/// count would charge one test's set-up to another's measured window.
+/// The count therefore lives in a thread-local: `None` while the thread
+/// is not measuring, `Some(n)` while it is.
 struct CountingAlloc;
 
-static HEAP_ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `const`-initialised, so touching it from inside the allocator never
+    /// allocates (a lazily initialised thread-local could recurse).
+    static ACQUISITIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_if_armed() {
+    // `try_with` because the allocator also runs while thread-locals are
+    // being torn down at thread exit.
+    let _ = ACQUISITIONS.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
+
+/// Heap acquisitions made by the calling thread while `f` runs.
+fn acquisitions_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ACQUISITIONS.with(|c| c.set(Some(0)));
+    let out = f();
+    let n = ACQUISITIONS.with(Cell::take).unwrap_or(0);
+    (out, n)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HEAP_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         SystemAlloc.alloc(layout)
     }
 
@@ -36,7 +64,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HEAP_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 }
@@ -45,11 +73,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Drive a configuration through a warm half (capacities settle, the
-/// calendar queue finds its bucket count, server queues reach their
+/// event list reaches its peak population, server queues reach their
 /// high-water marks, lock-table pools fill) and then a measured half
-/// that must perform **exactly zero** heap acquisitions.
+/// that must perform **exactly zero** heap acquisitions on this thread.
 fn assert_steady_state_is_silent(cfg: ModelConfig, what: &str) {
-    let mut ex = Executor::with_fel(FelKind::Calendar);
+    let mut ex = Executor::new();
     let mut system = System::new(&cfg, 42, &mut ex);
     let horizon = system.tmax();
 
@@ -58,12 +86,10 @@ fn assert_steady_state_is_silent(cfg: ModelConfig, what: &str) {
     let mid = Time::from_units(horizon.units() / 2.0);
     ex.run(&mut system, mid);
     let events_before = ex.events_processed();
-    let allocs_before = HEAP_ACQUISITIONS.load(Ordering::Relaxed);
 
     // Steady state: every buffer is recycled, so the heap must be silent.
-    let end = ex.run(&mut system, horizon);
+    let (end, allocs) = acquisitions_during(|| ex.run(&mut system, horizon));
     let events = ex.events_processed() - events_before;
-    let allocs = HEAP_ACQUISITIONS.load(Ordering::Relaxed) - allocs_before;
 
     assert!(
         events > 1_000,
@@ -108,7 +134,7 @@ fn twophase_steady_state_allocates_nothing() {
 
 /// Arena reuse audit: the second run through a [`RunArena`] must get by
 /// on a small, `ntrans`-independent allocation budget. The first run
-/// builds the slab, the conflict tables, the FEL buckets and every
+/// builds the slab, the conflict tables, the FEL's storage and every
 /// scratch buffer; the reset keeps all of it, so run two only pays for
 /// the few structures rebuilt per reset (the response histogram and the
 /// per-processor server vector — O(npros + histogram buckets), not
@@ -118,16 +144,10 @@ fn arena_second_run_allocates_a_small_fraction_of_the_first() {
     let cfg = ModelConfig::table1().with_tmax(1_500.0);
     let mut arena = lockgran_core::RunArena::new();
 
-    let before_first = HEAP_ACQUISITIONS.load(Ordering::Relaxed);
-    let first = arena.run(&cfg, 7);
-    let after_first = HEAP_ACQUISITIONS.load(Ordering::Relaxed);
-
-    let second = arena.run(&cfg, 8);
-    let after_second = HEAP_ACQUISITIONS.load(Ordering::Relaxed);
+    let (first, cold) = acquisitions_during(|| arena.run(&cfg, 7));
+    let (second, warm) = acquisitions_during(|| arena.run(&cfg, 8));
 
     assert!(first.totcom > 0 && second.totcom > 0);
-    let cold = after_first - before_first;
-    let warm = after_second - after_first;
     assert!(
         warm * 10 <= cold,
         "arena reuse saved too little: cold run {cold} acquisitions, warm run {warm}"
