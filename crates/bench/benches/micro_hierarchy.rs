@@ -1,33 +1,42 @@
-//! Micro-bench: the hierarchical conflict model's hot paths.
+//! Micro-bench: the conservative-locking conflict model's hot paths.
 //!
 //! Every admitted transaction in hierarchical mode pays an intent chain —
 //! escalation pass over the declared leaves, then IX intents on the
 //! database and the covering areas, then the X leaf locks — and its
 //! release wakes waiters through the same tree. These cycles are the
-//! per-transaction inner loop of the extG/extH sweeps.
+//! per-transaction inner loop of the extG/extH sweeps. The flat
+//! (explicit-mode) arm prices the same all-or-nothing cycle without the
+//! tree.
 
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use lockgran_core::conflict::{AccessSampler, ConcurrencyControl};
-use lockgran_core::{HierarchicalConflict, HierarchySpec};
+use lockgran_core::{ConservativeConflict, HierarchySpec};
 use lockgran_sim::SimRng;
 use lockgran_workload::Placement;
 
 const LTOT: u64 = 5000;
 const AREAS: u64 = 16;
 
-fn model(threshold: Option<u64>) -> HierarchicalConflict {
-    HierarchicalConflict::new(
-        AccessSampler {
-            placement: Placement::Best,
-            ltot: LTOT,
-            dbsize: 5000,
-            hot_spot: None,
-        },
-        HierarchySpec::default()
-            .with_areas(AREAS)
-            .with_escalation_threshold(threshold),
+fn sampler() -> AccessSampler {
+    AccessSampler {
+        placement: Placement::Best,
+        ltot: LTOT,
+        dbsize: 5000,
+        hot_spot: None,
+    }
+}
+
+/// The tree shape.
+fn model(threshold: Option<u64>) -> ConservativeConflict {
+    ConservativeConflict::new(
+        sampler(),
+        Some(
+            HierarchySpec::default()
+                .with_areas(AREAS)
+                .with_escalation_threshold(threshold),
+        ),
     )
 }
 
@@ -99,6 +108,23 @@ fn bench(c: &mut Criterion) {
             black_box(m.try_acquire(waiter, 8, &[], &mut rng));
             woken.clear();
             m.release(waiter, &mut woken);
+            black_box(woken.len());
+        });
+    });
+
+    group.bench_function("conservative_request_all_50", |b| {
+        // The flat shape: 50 X locks granted and released all at once.
+        let mut m = ConservativeConflict::new(sampler(), None);
+        let mut rng = SimRng::new(0xBEEF);
+        let set: Vec<u64> = (0..50).collect();
+        let mut woken = Vec::new();
+        let mut serial = 0u64;
+        b.iter(|| {
+            let txn = serial;
+            serial += 1;
+            black_box(m.try_acquire(txn, 50, &set, &mut rng));
+            woken.clear();
+            m.release(txn, &mut woken);
             black_box(woken.len());
         });
     });

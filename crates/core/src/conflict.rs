@@ -16,10 +16,9 @@
 //! The [`ConcurrencyControl`] trait abstracts the whole protocol seam —
 //! declared-access registration, admission, release/wake lists, protocol
 //! statistics — so the same system model can also run against a real lock
-//! table ([`crate::explicit::ExplicitConflict`]) or a multigranularity
-//! hierarchy with intention locks and escalation
-//! ([`crate::hierarchical::HierarchicalConflict`]), quantifying the
-//! quality of the approximation.
+//! table, flat or as a multigranularity hierarchy with intention locks
+//! and escalation ([`crate::conservative::ConservativeConflict`]),
+//! quantifying the quality of the approximation.
 //!
 //! ## Hot-path notes
 //!
@@ -222,13 +221,12 @@ pub trait ConcurrencyControl {
 pub fn build_concurrency_control(cfg: &ModelConfig) -> Box<dyn ConcurrencyControl> {
     match cfg.conflict {
         ConflictMode::Probabilistic => Box::new(ProbabilisticConflict::new(cfg.ltot)),
-        ConflictMode::Explicit => Box::new(
-            crate::explicit::ExplicitConflict::new().with_sampler(AccessSampler::from_config(cfg)),
-        ),
-        ConflictMode::Hierarchical => Box::new(crate::hierarchical::HierarchicalConflict::new(
-            AccessSampler::from_config(cfg),
-            cfg.hierarchy_spec(),
-        )),
+        mode @ (ConflictMode::Explicit | ConflictMode::Hierarchical) => {
+            Box::new(crate::conservative::ConservativeConflict::new(
+                AccessSampler::from_config(cfg),
+                (mode == ConflictMode::Hierarchical).then(|| cfg.hierarchy_spec()),
+            ))
+        }
         ConflictMode::Twophase => {
             let mut cc = crate::twophase::TwoPhaseConflict::new(AccessSampler::from_config(cfg));
             // Closed system: `ntrans` terminals bound the concurrent

@@ -12,14 +12,14 @@
 //! * [`conflict`] — the [`ConcurrencyControl`] trait (conflict decisions
 //!   plus declared-access sampling and protocol statistics) and the
 //!   paper's probabilistic Ries–Stonebraker implementation of it.
-//! * [`explicit`] — an alternative conflict model backed by a *real* lock
-//!   table ([`lockgran_lockmgr`]), used to validate the probabilistic
-//!   approximation.
-//! * [`hierarchical`] — Gray's multigranularity protocol (database → area
-//!   → granule with IS/IX intention locks and lock escalation) as a third
-//!   conflict model, the production shape of the granularity trade-off.
+//! * [`conservative`] — the same conservative protocol over a *real* lock
+//!   table ([`lockgran_lockmgr`]), in two request shapes: flat granule
+//!   locks (explicit mode, which validates the probabilistic
+//!   approximation) and Gray's multigranularity protocol (hierarchical
+//!   mode: database → area → granule with IX intention locks and lock
+//!   escalation, the production shape of the granularity trade-off).
 //! * [`twophase`] — incremental (claim-as-needed) two-phase locking with
-//!   waits-for deadlock detection and youngest-victim abort as a fourth
+//!   waits-for deadlock detection and youngest-victim abort as a third
 //!   conflict model, re-examining the Ries & Stonebraker claim the paper
 //!   leans on.
 //! * [`transaction`] — per-transaction runtime state (`NU_i`, `LU_i`,
@@ -52,8 +52,7 @@
 
 pub mod config;
 pub mod conflict;
-pub mod explicit;
-pub mod hierarchical;
+pub mod conservative;
 pub mod metrics;
 pub mod sim;
 pub mod system;
@@ -62,6 +61,15 @@ pub mod trace;
 pub mod transaction;
 pub mod twophase;
 
+// Cases of `ConservativeConflict` that belong to one request shape; the
+// shape-independent cases live in `conservative::tests`.
+#[cfg(test)]
+#[path = "shape_tests/explicit.rs"]
+mod explicit;
+#[cfg(test)]
+#[path = "shape_tests/hierarchical.rs"]
+mod hierarchical;
+
 pub use config::{
     ConflictMode, HierarchySpec, LockDistribution, ModelConfig, QueueDiscipline, ServiceVariability,
 };
@@ -69,11 +77,10 @@ pub use conflict::{
     build_concurrency_control, AccessSampler, CcStats, ConcurrencyControl, ConflictDecision,
     ProbabilisticConflict,
 };
-pub use explicit::ExplicitConflict;
-pub use hierarchical::HierarchicalConflict;
+pub use conservative::ConservativeConflict;
 pub use metrics::RunMetrics;
 pub use sim::RunArena;
 pub use timeline::{TimelineCollector, TimelinePoint};
-pub use trace::{NullTracer, TraceEvent, Tracer, VecTracer};
+pub use trace::{TraceEvent, VecTracer};
 pub use transaction::{Transaction, TxnPhase};
 pub use twophase::TwoPhaseConflict;

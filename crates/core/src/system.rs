@@ -31,7 +31,7 @@ use crate::config::{LockDistribution, ModelConfig, ServiceVariability};
 use crate::conflict::{build_concurrency_control, CcStats, ConcurrencyControl, ConflictDecision};
 use crate::metrics::RunMetrics;
 use crate::timeline::TimelineCollector;
-use crate::trace::{TraceEvent, Tracer, VecTracer};
+use crate::trace::{TraceEvent, VecTracer};
 use crate::transaction::{Transaction, TxnPhase};
 
 /// Events of the system model.

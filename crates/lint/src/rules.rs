@@ -37,7 +37,7 @@ pub fn check_tokens(
         check_raw_threading(src, tokens, &mut sink);
     }
     // D005 is gated to the lock manager's per-request modules; ordered
-    // maps elsewhere (escalation bookkeeping, the reference oracle) are
+    // maps elsewhere (the reference oracle, cold bookkeeping) are
     // legitimate and stay unflagged.
     if HOT_LOCK_MODULES.contains(&path) {
         check_ordered_map_hot_path(src, tokens, &mut sink);
@@ -49,9 +49,9 @@ pub fn check_tokens(
 const HOT_LOCK_MODULES: [&str; 5] = [
     "crates/lockmgr/src/table.rs",
     "crates/lockmgr/src/deadlock.rs",
-    "crates/lockmgr/src/conservative.rs",
     "crates/lockmgr/src/twophase.rs",
-    "crates/lockmgr/src/sharded.rs",
+    "crates/lockmgr/src/escalation.rs",
+    "crates/core/src/conservative.rs",
 ];
 
 struct Sink<'a> {
@@ -475,11 +475,10 @@ mod tests {
 
     #[test]
     fn d005_exempts_cold_modules_and_other_crates() {
-        // The reference oracle and escalation bookkeeping are off the
-        // per-request path; ordered maps there are the point.
+        // The reference oracle is off the per-request path; ordered maps
+        // there are the point.
         for path in [
             "crates/lockmgr/src/reference.rs",
-            "crates/lockmgr/src/escalation.rs",
             "crates/core/src/system.rs",
         ] {
             assert!(

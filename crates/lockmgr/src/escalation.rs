@@ -1,25 +1,16 @@
 //! Lock escalation over the granule hierarchy.
 //!
 //! The paper studies *fixed* granule sizes; production systems resolve
-//! the same trade-off adaptively: a transaction starts with fine locks
-//! and, once it holds more than a threshold of them under one parent,
-//! trades them for a single coarse lock on the parent. This module
-//! implements that policy over [`crate::hierarchy::GranuleTree`] — the
-//! dynamic counterpart of the paper's static `ltot` sweep.
-//!
-//! Escalation is attempted, not forced: if the parent lock conflicts with
-//! other holders, the transaction keeps its fine locks (escalation must
-//! never introduce blocking the fine locks avoided).
-
-use std::collections::BTreeMap;
+//! the same trade-off by trading many fine locks under one parent for a
+//! single coarse lock on the parent. This module applies that policy to
+//! a predeclared request set over [`crate::hierarchy::GranuleTree`] — the
+//! adaptive counterpart of the paper's static `ltot` sweep.
 
 use crate::hierarchy::{GranuleTree, NodeId};
 use crate::mode::LockMode;
-use crate::table::{GranuleId, LockTable, TxnId};
 
-/// Escalation policy: when a transaction holds at least `threshold`
-/// child locks under one parent, attempt to replace them with a single
-/// parent lock.
+/// Escalation policy: when a transaction declares at least `threshold`
+/// children under one parent, it requests the parent whole instead.
 #[derive(Clone, Copy, Debug)]
 pub struct EscalationPolicy {
     /// Child-lock count that triggers escalation.
@@ -46,43 +37,20 @@ impl EscalationPolicy {
 /// Apply the escalation policy to a *predeclared* request set.
 ///
 /// The conservative protocol (the one the paper simulates) declares every
-/// leaf up front, so escalation can run on the whole set before any lock
-/// is taken, instead of lock-by-lock like [`EscalationManager`]: wherever
-/// at least `policy.threshold` requested children share a parent, the
-/// children are replaced by the parent requested whole in `mode`. The
-/// promotion cascades bottom-up — promoted parents that themselves
-/// cluster under one grandparent can escalate again, so `threshold = 1`
-/// always collapses a non-empty set to the root (whole-database locking).
+/// leaf up front, so escalation runs on the whole set before any lock is
+/// taken: wherever at least `policy.threshold` requested children share a
+/// parent, the children are replaced by the parent requested whole in
+/// `mode`. The promotion cascades bottom-up — promoted parents that
+/// themselves cluster under one grandparent can escalate again, so
+/// `threshold = 1` always collapses a non-empty set to the root
+/// (whole-database locking).
 ///
-/// Returns the surviving requests, each to be taken in `mode` (callers
-/// still owe intention locks on the ancestors of every survivor), and the
-/// number of promotions performed.
-pub fn escalate_predeclared(
-    tree: &GranuleTree,
-    policy: EscalationPolicy,
-    leaves: &[NodeId],
-    mode: LockMode,
-) -> (Vec<(NodeId, LockMode)>, u64) {
-    let mut kept = Vec::new();
-    let mut current = Vec::new();
-    let mut promoted = Vec::new();
-    let escalations = escalate_predeclared_into(
-        tree,
-        policy,
-        leaves,
-        mode,
-        &mut kept,
-        &mut current,
-        &mut promoted,
-    );
-    (kept, escalations)
-}
-
-/// [`escalate_predeclared`] into caller-owned buffers (each cleared
-/// first), so steady-state callers reuse capacity instead of allocating
-/// three fresh `Vec`s per attempt. `kept` receives the surviving
-/// requests; `current` and `promoted` are pure scratch whose contents
-/// after the call are unspecified. Returns the promotion count.
+/// `kept` receives the surviving requests, each to be taken in `mode`
+/// (callers still owe intention locks on the ancestors of every
+/// survivor), deepest level first and by index within a level. All three buffers are cleared
+/// first, so steady-state callers reuse their capacity; `current` and
+/// `promoted` are pure scratch whose contents after the call are
+/// unspecified. Returns the number of promotions performed.
 pub fn escalate_predeclared_into(
     tree: &GranuleTree,
     policy: EscalationPolicy,
@@ -130,106 +98,12 @@ pub fn escalate_predeclared_into(
     escalations
 }
 
-/// Outcome of one escalation attempt.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EscalationOutcome {
-    /// Children released, parent locked; count of child locks freed.
-    Escalated {
-        /// Parent node now locked.
-        parent: NodeId,
-        /// Number of child locks released.
-        freed: usize,
-    },
-    /// Below threshold — nothing to do.
-    BelowThreshold,
-    /// The parent lock would conflict; fine locks kept.
-    WouldBlock,
-}
-
-/// Tracks per-(transaction, parent) child-lock counts and performs
-/// escalation against a [`LockTable`].
-#[derive(Debug)]
-pub struct EscalationManager {
-    policy: EscalationPolicy,
-    /// (txn, parent flat id) → children currently locked.
-    children: BTreeMap<(TxnId, GranuleId), Vec<NodeId>>,
-}
-
-impl EscalationManager {
-    /// Create with a policy.
-    pub fn new(policy: EscalationPolicy) -> Self {
-        EscalationManager {
-            policy,
-            children: BTreeMap::new(),
-        }
-    }
-
-    /// Record that `txn` locked leaf/child `node` (call after a
-    /// successful fine-grained lock), and attempt escalation if the
-    /// threshold is reached. `mode` is the mode held on the children and
-    /// requested on the parent.
-    pub fn on_child_locked(
-        &mut self,
-        tree: &GranuleTree,
-        table: &mut LockTable,
-        txn: TxnId,
-        node: NodeId,
-        mode: LockMode,
-    ) -> EscalationOutcome {
-        let Some(parent) = tree.parent(node) else {
-            return EscalationOutcome::BelowThreshold; // root has no parent
-        };
-        let parent_flat = tree.flat_id(parent);
-        let children = self.children.entry((txn, parent_flat)).or_default();
-        if !children.contains(&node) {
-            children.push(node);
-        }
-        if children.len() < self.policy.threshold {
-            return EscalationOutcome::BelowThreshold;
-        }
-        // Attempt: the transaction already holds the intention mode on
-        // the parent; upgrading to the full mode must not conflict with
-        // other holders.
-        if !table.would_grant(txn, parent_flat, mode) {
-            return EscalationOutcome::WouldBlock;
-        }
-        let out = table.lock(txn, parent_flat, mode);
-        debug_assert_eq!(out, crate::table::LockOutcome::Granted);
-        let freed = children.len();
-        for child in self
-            .children
-            .remove(&(txn, parent_flat))
-            .unwrap_or_default()
-        {
-            table.unlock(txn, tree.flat_id(child));
-        }
-        EscalationOutcome::Escalated { parent, freed }
-    }
-
-    /// Forget a transaction (commit/abort).
-    pub fn forget(&mut self, txn: TxnId) {
-        self.children.retain(|(t, _), _| *t != txn);
-    }
-
-    /// Child locks currently tracked for a transaction (diagnostics).
-    pub fn tracked_children(&self, txn: TxnId) -> usize {
-        self.children
-            .iter()
-            .filter(|((t, _), _)| *t == txn)
-            .map(|(_, v)| v.len())
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hierarchy::HierarchyLevel;
     use LockMode::{S, X};
 
-    fn t(n: u64) -> TxnId {
-        TxnId(n)
-    }
     fn node(level: usize, index: u64) -> NodeId {
         NodeId {
             level: HierarchyLevel(level),
@@ -241,117 +115,28 @@ mod tests {
         GranuleTree::new(&[10, 50])
     }
 
-    /// Lock blocks 0..n of file 0 for txn, tracking escalation.
-    fn lock_blocks(
-        mgr: &mut EscalationManager,
-        tree: &GranuleTree,
-        table: &mut LockTable,
-        txn: TxnId,
-        n: u64,
-        mode: LockMode,
-    ) -> Vec<EscalationOutcome> {
-        (0..n)
-            .map(|i| {
-                let b = node(2, i);
-                tree.lock_hierarchical(table, txn, b, mode).unwrap();
-                mgr.on_child_locked(tree, table, txn, b, mode)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn escalates_at_threshold() {
-        let tr = tree();
-        let mut table = LockTable::new();
-        let mut mgr = EscalationManager::new(EscalationPolicy { threshold: 5 });
-        let outcomes = lock_blocks(&mut mgr, &tr, &mut table, t(1), 5, X);
-        assert!(outcomes[..4]
-            .iter()
-            .all(|o| *o == EscalationOutcome::BelowThreshold));
-        assert_eq!(
-            outcomes[4],
-            EscalationOutcome::Escalated {
-                parent: node(1, 0),
-                freed: 5
-            }
-        );
-        // The file lock replaced the five block locks.
-        assert_eq!(table.held_mode(t(1), tr.flat_id(node(1, 0))), Some(X));
-        for i in 0..5 {
-            assert_eq!(table.held_mode(t(1), tr.flat_id(node(2, i))), None);
-        }
-        table.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn escalation_blocked_by_other_reader_keeps_fine_locks() {
-        let tr = tree();
-        let mut table = LockTable::new();
-        let mut mgr = EscalationManager::new(EscalationPolicy { threshold: 3 });
-        // t2 reads one block of file 0 — holds IS on the file.
-        tr.lock_hierarchical(&mut table, t(2), node(2, 40), S)
-            .unwrap();
-        // t1 writes blocks; at the threshold, escalating to X on the file
-        // would conflict with t2's IS, so it must keep fine locks.
-        let outcomes = lock_blocks(&mut mgr, &tr, &mut table, t(1), 3, X);
-        assert_eq!(outcomes[2], EscalationOutcome::WouldBlock);
-        for i in 0..3 {
-            assert_eq!(table.held_mode(t(1), tr.flat_id(node(2, i))), Some(X));
-        }
-        table.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn shared_escalation_coexists_with_other_readers() {
-        let tr = tree();
-        let mut table = LockTable::new();
-        let mut mgr = EscalationManager::new(EscalationPolicy { threshold: 2 });
-        tr.lock_hierarchical(&mut table, t(2), node(2, 40), S)
-            .unwrap();
-        // S-escalation on the file is compatible with t2's IS.
-        let outcomes = lock_blocks(&mut mgr, &tr, &mut table, t(1), 2, S);
-        assert!(matches!(outcomes[1], EscalationOutcome::Escalated { .. }));
-        assert_eq!(table.held_mode(t(1), tr.flat_id(node(1, 0))), Some(S));
-        table.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn counts_are_per_parent() {
-        let tr = tree();
-        let mut table = LockTable::new();
-        let mut mgr = EscalationManager::new(EscalationPolicy { threshold: 3 });
-        // Two blocks in file 0, two in file 1: neither reaches 3.
-        for &(level, idx) in &[(2usize, 0u64), (2, 1), (2, 50), (2, 51)] {
-            let b = node(level, idx);
-            tr.lock_hierarchical(&mut table, t(1), b, X).unwrap();
-            assert_eq!(
-                mgr.on_child_locked(&tr, &mut table, t(1), b, X),
-                EscalationOutcome::BelowThreshold
-            );
-        }
-        assert_eq!(mgr.tracked_children(t(1)), 4);
-    }
-
-    #[test]
-    fn duplicate_child_locks_count_once() {
-        let tr = tree();
-        let mut table = LockTable::new();
-        let mut mgr = EscalationManager::new(EscalationPolicy { threshold: 2 });
-        let b = node(2, 7);
-        tr.lock_hierarchical(&mut table, t(1), b, X).unwrap();
-        assert_eq!(
-            mgr.on_child_locked(&tr, &mut table, t(1), b, X),
-            EscalationOutcome::BelowThreshold
-        );
-        assert_eq!(
-            mgr.on_child_locked(&tr, &mut table, t(1), b, X),
-            EscalationOutcome::BelowThreshold,
-            "re-locking the same child must not trigger escalation"
-        );
-    }
-
     fn leaves(ids: &[u64]) -> Vec<NodeId> {
         ids.iter().map(|&i| node(2, i)).collect()
+    }
+
+    /// Run [`escalate_predeclared_into`] on fresh buffers.
+    fn escalate(
+        tree: &GranuleTree,
+        policy: EscalationPolicy,
+        leaves: &[NodeId],
+        mode: LockMode,
+    ) -> (Vec<(NodeId, LockMode)>, u64) {
+        let mut kept = Vec::new();
+        let escalations = escalate_predeclared_into(
+            tree,
+            policy,
+            leaves,
+            mode,
+            &mut kept,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
+        (kept, escalations)
     }
 
     #[test]
@@ -359,11 +144,11 @@ mod tests {
         let tr = tree();
         let pol = EscalationPolicy { threshold: 1 };
         // Any non-empty leaf set cascades all the way to the root.
-        let (kept, escalations) = escalate_predeclared(&tr, pol, &leaves(&[7]), X);
+        let (kept, escalations) = escalate(&tr, pol, &leaves(&[7]), X);
         assert_eq!(kept, vec![(node(0, 0), X)]);
         assert_eq!(escalations, 2); // file 0, then the database
 
-        let (kept, escalations) = escalate_predeclared(&tr, pol, &leaves(&[0, 60, 499]), X);
+        let (kept, escalations) = escalate(&tr, pol, &leaves(&[0, 60, 499]), X);
         assert_eq!(kept, vec![(node(0, 0), X)]);
         assert_eq!(escalations, 4); // three files, then the database
     }
@@ -371,8 +156,7 @@ mod tests {
     #[test]
     fn predeclared_never_policy_keeps_all_leaves() {
         let tr = tree();
-        let (kept, escalations) =
-            escalate_predeclared(&tr, EscalationPolicy::never(), &leaves(&[3, 1, 2]), X);
+        let (kept, escalations) = escalate(&tr, EscalationPolicy::never(), &leaves(&[3, 1, 2]), X);
         assert_eq!(escalations, 0);
         assert_eq!(
             kept,
@@ -386,7 +170,7 @@ mod tests {
         let tr = tree();
         let pol = EscalationPolicy { threshold: 3 };
         // Three blocks in file 0 (escalates), two in file 1 (kept).
-        let (kept, escalations) = escalate_predeclared(&tr, pol, &leaves(&[0, 1, 2, 50, 51]), X);
+        let (kept, escalations) = escalate(&tr, pol, &leaves(&[0, 1, 2, 50, 51]), X);
         assert_eq!(escalations, 1);
         assert_eq!(
             kept,
@@ -401,7 +185,7 @@ mod tests {
         let tr = GranuleTree::new(&[2, 2]);
         let pol = EscalationPolicy { threshold: 2 };
         let all: Vec<NodeId> = (0..4).map(|i| node(2, i)).collect();
-        let (kept, escalations) = escalate_predeclared(&tr, pol, &all, X);
+        let (kept, escalations) = escalate(&tr, pol, &all, X);
         assert_eq!(kept, vec![(node(0, 0), X)]);
         assert_eq!(escalations, 3);
     }
@@ -410,22 +194,11 @@ mod tests {
     fn predeclared_dedups_and_handles_empty_sets() {
         let tr = tree();
         let pol = EscalationPolicy { threshold: 2 };
-        let (kept, escalations) = escalate_predeclared(&tr, pol, &leaves(&[9, 9]), S);
+        let (kept, escalations) = escalate(&tr, pol, &leaves(&[9, 9]), S);
         assert_eq!(escalations, 0);
         assert_eq!(kept, vec![(node(2, 9), S)]);
-        let (kept, escalations) = escalate_predeclared(&tr, pol, &[], X);
+        let (kept, escalations) = escalate(&tr, pol, &[], X);
         assert!(kept.is_empty());
         assert_eq!(escalations, 0);
-    }
-
-    #[test]
-    fn forget_clears_tracking() {
-        let tr = tree();
-        let mut table = LockTable::new();
-        let mut mgr = EscalationManager::new(EscalationPolicy { threshold: 10 });
-        lock_blocks(&mut mgr, &tr, &mut table, t(1), 4, X);
-        assert_eq!(mgr.tracked_children(t(1)), 4);
-        mgr.forget(t(1));
-        assert_eq!(mgr.tracked_children(t(1)), 0);
     }
 }

@@ -35,6 +35,18 @@ fi
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
+echo "== lock-table figure goldens (extB/extD/extG/extH byte-identical to results/)"
+# The explicit and hierarchical conflict models have no golden test of
+# their own; these four figures are their end-to-end pin. Regenerate each
+# at full scale and compare the JSON byte for byte.
+golden_dir=$(mktemp -d "${TMPDIR:-/tmp}/lockgran-golden.XXXXXX")
+trap 'rm -rf "$golden_dir"' EXIT
+for fig in extB extD extG extH; do
+    cargo run --offline -q --release --bin lockgran -- "$fig" --jobs 2 --out "$golden_dir" > /dev/null
+    cmp "$golden_dir/$fig.json" "results/$fig.json" \
+        || { echo "$fig.json differs from results/$fig.json"; exit 1; }
+done
+
 echo "== differential property test (lock table vs ordered-map oracle, quick profile)"
 # QUICK_PROP trims the seed sweep (24 → 4 seeds per shape) so the
 # cross-check runs early and fast; the full sweep still runs as part of

@@ -16,13 +16,13 @@
 //!   placement (best / random-Yao / worst), partitioning, explicit
 //!   granule sets.
 //! * [`lockmgr`] ([`lockgran_lockmgr`]) — a real lock manager: Gray's
-//!   lock modes, hashed lock table, conservative (static) locking,
-//!   incremental 2PL with deadlock detection, multi-granularity
-//!   hierarchy.
+//!   lock modes, hashed lock table, incremental 2PL with deadlock
+//!   detection, multi-granularity hierarchy with escalation.
 //! * [`core`] ([`lockgran_core`]) — the paper's model: configuration,
-//!   the `ConcurrencyControl` layer (probabilistic, explicit lock-table
-//!   and multigranularity/escalation conflict models), the event-driven
-//!   system, output metrics.
+//!   the `ConcurrencyControl` layer (the probabilistic draw, conservative
+//!   locking over the real lock table in a flat or a
+//!   multigranularity/escalation shape, and incremental 2PL), the
+//!   event-driven system, output metrics.
 //! * [`experiments`] ([`lockgran_experiments`]) — one module per paper
 //!   table/figure, sweep machinery, emitters, and the `lockgran` CLI.
 //!

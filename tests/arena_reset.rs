@@ -53,6 +53,19 @@ fn gauntlet() -> Vec<(ModelConfig, u64)> {
                 .with_hierarchy(Some(HierarchySpec::default().with_areas(25))),
             16,
         ),
+        // Ragged geometry: 16 areas do not divide ltot = 100, so the map
+        // clamps to 15. A reset to the same config must key on the
+        // clamped map (tree kept), a change of config on the new one.
+        (
+            quick()
+                .with_conflict(ConflictMode::Hierarchical)
+                .with_hierarchy(Some(
+                    HierarchySpec::default()
+                        .with_areas(16)
+                        .with_escalation_threshold(Some(3)),
+                )),
+            20,
+        ),
         // Back to probabilistic (mode change in the other direction),
         // with warm-up, admission control and service variability.
         (
