@@ -3,8 +3,9 @@
 //! The paper's own experiments stop at `dbsize = 5000`; this bench pins
 //! the engine at production scale — `dbsize = 10_000_000`, `ntrans =
 //! 100_000` (a 10⁵-slot slab and a pending queue to match, with
-//! admission control at MPL 64), `maxtransize = 100_000` (the Yao
-//! evaluation runs in its closed-form ln-gamma regime) — on both the
+//! admission control at MPL 64; a transaction draws its workload when it
+//! is admitted), `maxtransize = 100_000` (the Yao evaluation runs in its
+//! closed-form ln-gamma regime) — on both the
 //! probabilistic and the hierarchical conflict models. Each iteration
 //! streams a fresh `(seed)` run through one reused [`RunArena`], which is
 //! how the sweep harness executes at this scale: the slab, the
@@ -67,11 +68,13 @@ fn capacity_base(s: &Scale) -> ModelConfig {
 
 fn bench(c: &mut Criterion) {
     let s = scale();
-    // Random placement routes every spawn through Yao's formula — the
-    // paper's §3.5 model for unclustered access — so each of the 10⁵
-    // arrivals evaluates `E[LU]` at `d = 10⁷`. That is the layer the
-    // capacity work targets: the closed-form ln-gamma evaluation plus the
-    // cross-run memo carried by the arena.
+    // Random placement routes every admission through Yao's formula —
+    // the paper's §3.5 model for unclustered access — so each admitted
+    // transaction evaluates `E[LU]` at `d = 10⁷`. Arrivals still waiting
+    // in the admission queue at the horizon (most of the 10⁵) never draw
+    // a workload. That is the layer the capacity work targets: the
+    // closed-form ln-gamma evaluation plus the cross-run memo carried by
+    // the arena.
     let prob = capacity_base(&s)
         .with_placement(Placement::Random)
         .with_size(SizeDistribution::Uniform {

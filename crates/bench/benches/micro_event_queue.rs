@@ -2,8 +2,8 @@
 //!
 //! Push/pop throughput of the reference binary heap (`EventQueue`) and the
 //! production 4-ary heap (`QuadHeap`) at the queue sizes the model
-//! actually reaches (tens to 10⁵ pending events) — the simulator's hottest
-//! data structure.
+//! actually reaches (tens to hundreds of pending events per run, with
+//! 16384 as a stress point) — the simulator's hottest data structure.
 
 use lockgran_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -62,20 +62,6 @@ fn bench(c: &mut Criterion) {
                 }
             },
         );
-    });
-    // The `capacity` set-up shape: every one of 10⁵ resident transactions
-    // schedules its first event in time order, then the list drains. One
-    // queue is reused across iterations, as `RunArena` reuses its FEL.
-    group.bench_function("bootstrap_push_100k", |b| {
-        let mut q = QuadHeap::new();
-        b.iter(|| {
-            for i in 0..100_000u64 {
-                q.push(Time::from_ticks(i / 3), i);
-            }
-            while let Some(e) = q.pop() {
-                black_box(e);
-            }
-        });
     });
     group.finish();
 }

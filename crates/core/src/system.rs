@@ -3,7 +3,13 @@
 //! Implements the paper's Figure 1 machinery:
 //!
 //! 1. Transactions arrive one time unit apart into the pending queue; a
-//!    transaction leaving the pending queue issues its lock request.
+//!    transaction leaving the pending queue issues its lock request. The
+//!    arrivals form a chain — each `Arrive` schedules the next — so the
+//!    future-event list holds one of them at a time, and a transaction
+//!    draws its workload (size, `LU_i` via Yao, processors, granules) only
+//!    when it is admitted. Admission follows arrival order, so every
+//!    random stream sees the same draws as if each arrival drew at once;
+//!    a run's cost follows the work it admits, not `ntrans`.
 //! 2. Lock request/set/release work (`LU_i · lcputime` CPU and
 //!    `LU_i · liotime` I/O **per attempt**, charged even when denied) is
 //!    shared by all processors ("we assume that processors share the work
@@ -37,7 +43,11 @@ use crate::transaction::{Transaction, TxnPhase};
 /// Events of the system model.
 #[derive(Debug)]
 pub enum Event {
-    /// A transaction arrives into the pending queue (initial staggering).
+    /// A transaction arrives into the pending queue. Arrivals are one time
+    /// unit apart (initial staggering) and chained: each one schedules the
+    /// next, in the executor's front band
+    /// ([`Executor::schedule_first`]), so it keeps the tie order it had
+    /// when every arrival was scheduled at set-up.
     Arrive,
     /// A CPU-server completion fired on processor `proc`.
     CpuDone {
@@ -193,7 +203,16 @@ pub struct System {
     /// Admission control (`mpl_limit`): transactions holding a slot.
     admitted: u32,
     mpl_limit: Option<u32>,
-    /// FIFO of transaction slots waiting for an admission slot.
+    /// Serial of the next transaction to be admitted: admission follows
+    /// arrival order, which is what lets the workload be drawn at
+    /// admission without moving any random draw.
+    next_admission: u64,
+    /// Arrivals of the run (`ntrans`) and how many of them have been
+    /// scheduled so far (the arrival chain).
+    ntrans: u32,
+    arrivals_scheduled: u32,
+    /// FIFO of transaction slots waiting for an admission slot; their
+    /// workload is not drawn yet.
     pending: VecDeque<u32>,
     pending_tw: TimeWeighted,
 
@@ -287,6 +306,9 @@ impl System {
             blocked_count: 0,
             admitted: 0,
             mpl_limit: cfg.mpl_limit,
+            next_admission: 0,
+            ntrans: cfg.ntrans,
+            arrivals_scheduled: 0,
             pending: VecDeque::new(),
             pending_tw: TimeWeighted::new(),
             failure: None,
@@ -316,15 +338,15 @@ impl System {
         sys
     }
 
-    /// Schedule the bootstrap events of a run — initial arrivals one time
-    /// unit apart (paper §2), the warm-up boundary, and (when the failure
-    /// extension is on) every processor's first failure. Shared by
-    /// [`System::new`] and [`System::reset`] so the event sequence numbers
-    /// of a reset run match a fresh run exactly.
+    /// Schedule the bootstrap events of a run — the first arrival (the
+    /// rest follow one time unit apart as a chain, see [`Event::Arrive`]),
+    /// the warm-up boundary, and (when the failure extension is on) every
+    /// processor's first failure. Shared by [`System::new`] and
+    /// [`System::reset`] so the event sequence numbers of a reset run
+    /// match a fresh run exactly.
     fn schedule_initial(&mut self, cfg: &ModelConfig, root: &SimRng, ex: &mut Executor<Event>) {
-        for i in 0..cfg.ntrans {
-            ex.schedule(Time::from_units(f64::from(i)), Event::Arrive);
-        }
+        self.arrivals_scheduled = 0;
+        self.schedule_next_arrival(ex);
         if self.warmup > Time::ZERO {
             ex.schedule(self.warmup, Event::WarmupReached);
         }
@@ -397,6 +419,8 @@ impl System {
         self.blocked_count = 0;
         self.admitted = 0;
         self.mpl_limit = cfg.mpl_limit;
+        self.next_admission = 0;
+        self.ntrans = cfg.ntrans;
         self.pending.clear();
         self.pending_tw = TimeWeighted::new();
         self.lock_attempts = 0;
@@ -496,10 +520,23 @@ impl System {
         now >= self.warmup
     }
 
+    /// Schedule the next link of the arrival chain, if any arrivals are
+    /// left: arrival `i` fires at `i` time units, in the front band so it
+    /// precedes every other event at its instant (as it did when all
+    /// arrivals were scheduled first at set-up).
+    fn schedule_next_arrival(&mut self, ex: &mut Executor<Event>) {
+        if self.arrivals_scheduled < self.ntrans {
+            let at = Time::from_units(f64::from(self.arrivals_scheduled));
+            self.arrivals_scheduled += 1;
+            ex.schedule_first(at, Event::Arrive);
+        }
+    }
+
     /// Create a fresh transaction (closed-model replacement or initial
-    /// arrival) and start its lock phase. Reuses the retired carcass's
-    /// buffers when one is available, so the steady-state replacement
-    /// performs no heap allocation.
+    /// arrival) and admit or queue it. Its workload is drawn at admission
+    /// ([`Self::admit`]); until then its spec and granule set are empty.
+    /// Reuses the retired carcass's buffers when one is available, so the
+    /// steady-state replacement performs no heap allocation.
     fn spawn_transaction(&mut self, now: Time, ex: &mut Executor<Event>) {
         let serial = self.next_serial;
         self.next_serial += 1;
@@ -522,13 +559,10 @@ impl System {
         txn.lock_shares_outstanding = 0;
         txn.subtxns_outstanding = 0;
         txn.cpu_shares.clear();
-        // Same draw order as before the slab: spec first, then granules.
-        // The conflict model decides what "declared access" means — the
-        // probabilistic model clears the set without touching the access
-        // stream; the lock-table models sample a concrete granule set.
-        self.generator.next_spec_into(&mut txn.spec);
-        self.conflict
-            .register_access(&mut self.access_rng, txn.spec.entities, &mut txn.granules);
+        txn.spec.entities = 0;
+        txn.spec.locks = 0;
+        txn.spec.processors.clear();
+        txn.granules.clear();
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 self.slab[s as usize] = Some(txn);
@@ -548,12 +582,39 @@ impl System {
     fn admit_or_enqueue(&mut self, now: Time, slot: u32, ex: &mut Executor<Event>) {
         let open = self.mpl_limit.is_none_or(|cap| self.admitted < cap);
         if open {
-            self.admitted += 1;
-            self.begin_lock_phase(now, slot, ex);
+            self.admit(now, slot, ex);
         } else {
             self.pending.push_back(slot);
             self.pending_tw.record(now, self.pending.len() as f64);
         }
+    }
+
+    /// Admit the transaction in `slot`: it takes an admission slot, draws
+    /// its workload and issues its first lock request. Admission follows
+    /// serial order — the pending queue is FIFO, it is non-empty only
+    /// while the cap is reached, and `complete` admits its head before it
+    /// spawns the replacement — so the workload and access streams see
+    /// the draw sequence they would see if each arrival drew at once.
+    fn admit(&mut self, now: Time, slot: u32, ex: &mut Executor<Event>) {
+        self.admitted += 1;
+        // Disjoint field borrows: the draws write straight into the slab.
+        let txn = self.slab[slot as usize]
+            .as_mut()
+            // lint:allow(P001): invariant — only resident transactions are admitted
+            .expect("admitting a departed transaction");
+        debug_assert_eq!(
+            txn.serial, self.next_admission,
+            "admission out of arrival order"
+        );
+        self.next_admission += 1;
+        // Spec first, then granules. The conflict model decides what
+        // "declared access" means — the probabilistic model clears the
+        // set without touching the access stream; the lock-table models
+        // sample a concrete granule set.
+        self.generator.next_spec_into(&mut txn.spec);
+        self.conflict
+            .register_access(&mut self.access_rng, txn.spec.entities, &mut txn.granules);
+        self.begin_lock_phase(now, slot, ex);
     }
 
     /// Issue a lock request attempt: charge the lock overhead across all
@@ -563,6 +624,10 @@ impl System {
         let (lcputime, liotime) = (self.lcputime, self.liotime);
         let (cpu_total, io_total, serial, attempt) = {
             let txn = self.txn_mut(slot);
+            debug_assert!(
+                !txn.spec.processors.is_empty(),
+                "lock request before the workload was drawn"
+            );
             txn.phase = TxnPhase::LockPhase;
             txn.attempts += 1;
             (
@@ -895,8 +960,7 @@ impl System {
         self.admitted -= 1;
         if let Some(next) = self.pending.pop_front() {
             self.pending_tw.record(now, self.pending.len() as f64);
-            self.admitted += 1;
-            self.begin_lock_phase(now, next, ex);
+            self.admit(now, next, ex);
         }
         // Closed model: a fresh transaction replaces the finished one.
         self.spawn_transaction(now, ex);
@@ -1135,7 +1199,10 @@ impl Model for System {
 
     fn handle(&mut self, now: Time, event: Event, ex: &mut Executor<Event>) {
         match event {
-            Event::Arrive => self.spawn_transaction(now, ex),
+            Event::Arrive => {
+                self.schedule_next_arrival(ex);
+                self.spawn_transaction(now, ex);
+            }
             Event::WarmupReached => self.take_snapshot(now),
             Event::SampleTick => self.sample_tick(now, ex),
             Event::Fail { proc } => self.fail_processor(now, proc, ex),

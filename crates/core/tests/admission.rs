@@ -1,6 +1,9 @@
 //! Behavioural tests of the admission-control extension (`mpl_limit`).
 
-use lockgran_core::{sim, ModelConfig};
+use lockgran_core::system::System;
+use lockgran_core::{sim, ConflictMode, HierarchySpec, ModelConfig};
+use lockgran_sim::Executor;
+use lockgran_workload::{Placement, SizeDistribution};
 
 fn heavy() -> ModelConfig {
     ModelConfig::table1()
@@ -88,4 +91,73 @@ fn zero_cap_rejected_by_validation() {
         .with_mpl_limit(Some(0))
         .validate()
         .is_err());
+}
+
+/// The small capacity shape (`dbsize = 10⁵`, `ntrans = 2 000`, MPL 64):
+/// the scaled-down copy of the `bench_capacity` points, on both conflict
+/// models those points run.
+fn small_capacity_points(ntrans: u32) -> [ModelConfig; 2] {
+    let base = ModelConfig::table1()
+        .with_ltot(1_000)
+        .with_ntrans(ntrans)
+        .with_mpl_limit(Some(64))
+        .with_tmax(2_500.0);
+    let prob = ModelConfig {
+        dbsize: 100_000,
+        ..base
+            .clone()
+            .with_placement(Placement::Random)
+            .with_size(SizeDistribution::Uniform { max: 10_000 })
+    };
+    let hier = ModelConfig {
+        dbsize: 100_000,
+        ..base
+            .with_size(SizeDistribution::Uniform { max: 500 })
+            .with_conflict(ConflictMode::Hierarchical)
+            .with_hierarchy(Some(
+                HierarchySpec::default()
+                    .with_areas(100)
+                    .with_escalation_threshold(Some(64)),
+            ))
+    };
+    [prob, hier]
+}
+
+/// Step a fresh run to its horizon; return the FEL population right
+/// after set-up and its peak over the run.
+fn fel_population(cfg: &ModelConfig) -> (usize, usize) {
+    let mut ex = Executor::new();
+    let mut system = System::new(cfg, 11, &mut ex);
+    let initial = ex.pending();
+    let mut peak = initial;
+    while ex.step(&mut system, 1) == 1 && ex.now() <= system.tmax() {
+        peak = peak.max(ex.pending());
+    }
+    (initial, peak)
+}
+
+/// The future-event list holds work in flight, not the arrival stream:
+/// right after set-up only the first arrival and the warm-up and failure
+/// events are pending, and the run's peak is bounded by a multiple of
+/// `npros` whatever `ntrans` is. Each processor's CPU and disk hold one
+/// live completion plus the stale ones lock preemptions leave behind;
+/// the measured peaks are 31 (probabilistic) and 46 (hierarchical) at
+/// `npros = 10`, for `ntrans` 2 000 and 20 000 alike, and 69 at the full
+/// `bench_capacity` scale. `8 · npros` leaves headroom over all three.
+#[test]
+fn fel_population_scales_with_processors_not_arrivals() {
+    for ntrans in [2_000, 20_000] {
+        for cfg in small_capacity_points(ntrans) {
+            let (initial, peak) = fel_population(&cfg);
+            let label = format!("ntrans {ntrans}, {:?}", cfg.conflict);
+            assert!(
+                initial <= 2 + cfg.npros as usize,
+                "{label}: {initial} events pending after set-up"
+            );
+            assert!(
+                peak <= 8 * cfg.npros as usize,
+                "{label}: FEL peak {peak} exceeds 8 · npros"
+            );
+        }
+    }
 }

@@ -11,7 +11,9 @@
 //! flat 4-ary [`QuadHeap`] or the std-`BinaryHeap` [`EventQueue`] that
 //! tests hold it against. Both order events by the same stable
 //! `(time, seq)` key, so a model observes the identical event sequence —
-//! and therefore makes the identical RNG draws — under either.
+//! and therefore makes the identical RNG draws — under either. That key
+//! has two sequence bands: [`Executor::schedule_first`] puts an event
+//! ahead of every [`Executor::schedule`]d event at the same instant.
 
 use crate::event::EventQueue;
 use crate::quadheap::QuadHeap;
@@ -61,6 +63,13 @@ impl<E> Fel<E> {
         match self {
             Fel::Heap(q) => q.push(at, event),
             Fel::QuadHeap(q) => q.push(at, event),
+        }
+    }
+
+    fn push_first(&mut self, at: Time, event: E) {
+        match self {
+            Fel::Heap(q) => q.push_first(at, event),
+            Fel::QuadHeap(q) => q.push_first(at, event),
         }
     }
 
@@ -155,6 +164,25 @@ impl<E> Executor<E> {
             self.now
         );
         self.queue.push(at, event);
+    }
+
+    /// Schedule `event` at absolute time `at`, ahead of every event
+    /// scheduled with [`Executor::schedule`] / [`Executor::schedule_in`]
+    /// for the same instant, whenever those were pushed; events scheduled
+    /// this way stay FIFO among themselves. A model that generates a
+    /// stream one step at a time (each event scheduling its successor)
+    /// uses this to keep the tie order the whole stream would have had if
+    /// it were scheduled before anything else at set-up.
+    ///
+    /// # Panics
+    /// In debug builds, panics if `at` is in the past.
+    pub fn schedule_first(&mut self, at: Time, event: E) {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past ({at:?} < {:?})",
+            self.now
+        );
+        self.queue.push_first(at, event);
     }
 
     /// Schedule `event` after a delay of `d` from the current time.
@@ -323,19 +351,86 @@ mod tests {
     }
 
     /// Both FEL kinds drive a model through the identical event sequence —
-    /// including FIFO ties — which is the bit-identity foundation the
-    /// production engine relies on.
+    /// including FIFO ties in both sequence bands — which is the
+    /// bit-identity foundation the production engine relies on.
     #[test]
     fn reference_and_production_executors_see_identical_sequences() {
         let run = |kind: FelKind| {
             let mut m = Recorder::default();
             let mut ex = Executor::with_fel(kind);
             for i in 0..50u32 {
-                ex.schedule(Time::from_ticks(u64::from(i % 7) * 10), Tagged(i));
+                let at = Time::from_ticks(u64::from(i % 7) * 10);
+                if i % 4 == 3 {
+                    ex.schedule_first(at, Tagged(i));
+                } else {
+                    ex.schedule(at, Tagged(i));
+                }
             }
             ex.run(&mut m, Time::from_ticks(1_000));
             m.seen
         };
-        assert_eq!(run(FelKind::Heap), run(FelKind::QuadHeap));
+        let seen = run(FelKind::Heap);
+        assert_eq!(seen, run(FelKind::QuadHeap));
+        // At t = 0 (i ≡ 0 mod 7) the front events 7 and 35 (i ≡ 3 mod 4)
+        // fire first, then the ordinary ones, each band in push order.
+        let at_zero: Vec<u32> = seen.iter().filter(|s| s.0 == 0).map(|s| s.1).collect();
+        assert_eq!(at_zero, vec![7, 35, 0, 14, 21, 28, 42, 49]);
+    }
+
+    /// A self-chaining stream scheduled with `schedule_first` keeps the
+    /// tie order it would have had if pushed whole at set-up, even though
+    /// each link is pushed after the ordinary events it ties with.
+    #[test]
+    fn chained_front_stream_matches_up_front_schedule() {
+        struct Stream {
+            chained: bool,
+            left: u32,
+            seen: Vec<(u64, char)>,
+        }
+        #[derive(Debug)]
+        enum Ev {
+            Link,
+            Other,
+        }
+        impl Model for Stream {
+            type Event = Ev;
+            fn handle(&mut self, now: Time, ev: Ev, ex: &mut Executor<Ev>) {
+                match ev {
+                    Ev::Link => {
+                        self.seen.push((now.ticks(), 'L'));
+                        // Tie with the next link, scheduled before it.
+                        ex.schedule_in(Dur::from_ticks(10), Ev::Other);
+                        if self.chained && self.left > 0 {
+                            self.left -= 1;
+                            ex.schedule_first(now + Dur::from_ticks(10), Ev::Link);
+                        }
+                    }
+                    Ev::Other => self.seen.push((now.ticks(), 'O')),
+                }
+            }
+        }
+        for kind in [FelKind::Heap, FelKind::QuadHeap] {
+            let mut upfront = Stream {
+                chained: false,
+                left: 0,
+                seen: Vec::new(),
+            };
+            let mut ex = Executor::with_fel(kind);
+            for i in 0..5u64 {
+                ex.schedule(Time::from_ticks(10 * i), Ev::Link);
+            }
+            ex.run(&mut upfront, Time::from_ticks(1_000));
+
+            let mut chained = Stream {
+                chained: true,
+                left: 4,
+                seen: Vec::new(),
+            };
+            let mut ex = Executor::with_fel(kind);
+            ex.schedule_first(Time::ZERO, Ev::Link);
+            ex.run(&mut chained, Time::from_ticks(1_000));
+            assert_eq!(chained.seen, upfront.seen);
+            assert_eq!(&chained.seen[..3], &[(0, 'L'), (10, 'L'), (10, 'O')]);
+        }
     }
 }

@@ -6,6 +6,15 @@
 //! first — which is essential for reproducibility: a plain binary heap
 //! breaks ties arbitrarily and would make runs depend on heap layout.
 //!
+//! Sequence numbers come in two bands. Ordinary pushes ([`EventQueue::push`])
+//! count up from `ORDINARY_SEQ_BASE` = 2⁶³; front pushes
+//! ([`EventQueue::push_first`]) count up from 0. A front event therefore
+//! fires before every ordinary event at the same instant, whatever the push
+//! order, and front events stay FIFO among themselves. A model uses the
+//! front band for a stream it generates one step at a time but that must
+//! keep the tie order it would have had if all of it were pushed at set-up
+//! (the system model's arrival chain).
+//!
 //! This is the reference FEL ([`crate::FelKind::Heap`]): the production
 //! [`crate::QuadHeap`] is tested against it.
 
@@ -13,6 +22,10 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::Time;
+
+/// First sequence number of the ordinary band; the front band takes
+/// `0 .. ORDINARY_SEQ_BASE` (see module docs).
+pub(crate) const ORDINARY_SEQ_BASE: u64 = 1 << 63;
 
 struct Entry<E> {
     at: Time,
@@ -47,7 +60,10 @@ impl<E> Ord for Entry<E> {
 /// A time-ordered queue of pending events with stable FIFO tie-breaking.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Next ordinary sequence number (from [`ORDINARY_SEQ_BASE`]).
     next_seq: u64,
+    /// Next front sequence number (from 0).
+    next_front_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -61,7 +77,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            next_seq: 0,
+            next_seq: ORDINARY_SEQ_BASE,
+            next_front_seq: 0,
         }
     }
 
@@ -69,6 +86,15 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Time, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.heap.push(Entry { at, seq, event });
+    }
+
+    /// Schedule `event` at `at`, ahead of every ordinary event at the same
+    /// instant (the front band, see module docs).
+    pub fn push_first(&mut self, at: Time, event: E) {
+        let seq = self.next_front_seq;
+        self.next_front_seq += 1;
+        debug_assert!(seq < ORDINARY_SEQ_BASE, "front sequence band exhausted");
         self.heap.push(Entry { at, seq, event });
     }
 
@@ -92,17 +118,18 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (diagnostic).
+    /// Total number of events ever scheduled, in either band (diagnostic).
     pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
+        (self.next_seq - ORDINARY_SEQ_BASE) + self.next_front_seq
     }
 
-    /// Drop every pending event and restart the sequence counter, keeping
-    /// the heap's allocation for reuse. After `clear` the queue is
+    /// Drop every pending event and restart both sequence counters,
+    /// keeping the heap's allocation for reuse. After `clear` the queue is
     /// indistinguishable from a fresh one except for retained capacity.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.next_seq = 0;
+        self.next_seq = ORDINARY_SEQ_BASE;
+        self.next_front_seq = 0;
     }
 }
 
@@ -163,6 +190,58 @@ mod tests {
         }
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    /// A front event beats every ordinary event at its instant, whether it
+    /// was pushed before or after them, and loses to earlier instants.
+    #[test]
+    fn front_events_beat_same_instant_ordinary_events() {
+        let mut q = EventQueue::new();
+        let t = Time::from_ticks(10);
+        q.push(t, "ordinary-1");
+        q.push(Time::from_ticks(5), "earlier");
+        q.push_first(t, "front-1");
+        q.push(t, "ordinary-2");
+        q.push_first(t, "front-2");
+        q.push_first(Time::from_ticks(11), "later-front");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            vec![
+                "earlier",
+                "front-1",
+                "front-2",
+                "ordinary-1",
+                "ordinary-2",
+                "later-front"
+            ]
+        );
+        assert_eq!(q.scheduled_total(), 6);
+    }
+
+    /// `clear` restarts both bands: a cleared queue that had front and
+    /// ordinary pushes orders a mixed workload exactly like a fresh one.
+    #[test]
+    fn clear_restarts_both_bands() {
+        let drive = |q: &mut EventQueue<u32>| {
+            for i in 0..40u32 {
+                let at = Time::from_ticks(u64::from(i % 5));
+                if i % 3 == 0 {
+                    q.push_first(at, i);
+                } else {
+                    q.push(at, i);
+                }
+            }
+            std::iter::from_fn(|| q.pop()).collect::<Vec<_>>()
+        };
+        let mut q = EventQueue::new();
+        let first = drive(&mut q);
+        q.push_first(Time::from_ticks(3), 99);
+        q.push(Time::from_ticks(3), 98);
+        q.clear();
+        assert_eq!(q.scheduled_total(), 0);
+        assert_eq!(drive(&mut q), first);
+        assert_eq!(drive(&mut EventQueue::new()), first);
     }
 
     #[test]

@@ -1,17 +1,23 @@
 //! Flat 4-ary min-heap — the production future-event list.
 //!
-//! One `Vec` of entries laid out as an implicit 4-ary heap: the children
+//! One `Vec` of entries laid out as an implicit 4-ary min-heap: the children
 //! of slot `i` are `4i+1 ..= 4i+4`. Each entry is keyed by a single packed
 //! `u128` = `(ticks << 64) | seq`, so the stable `(time, seq)` order of
 //! [`crate::event::EventQueue`] — **FIFO among simultaneous events** — is
 //! one integer compare. Four children per node halve the tree depth of a
-//! binary heap and keep each level's siblings adjacent in memory, which
-//! is what makes the heap cheaper than the std binary heap at the
-//! 10⁵-event populations of capacity-scale runs.
+//! binary heap and keep each level's siblings adjacent in memory.
+//!
+//! The sequence numbers use the reference queue's two bands: ordinary
+//! pushes count up from 2⁶³, front pushes ([`QuadHeap::push_first`]) from
+//! 0, so a front event pops before every ordinary event at its instant and
+//! the key is still one compare. The system model chains its arrivals
+//! through the front band, which keeps its population at O(npros · MPL)
+//! events rather than one per transaction.
 //!
 //! `clear` keeps the vector's capacity, so once a run's population has
 //! peaked no push allocates (`tests/steady_state_alloc.rs` enforces this).
 
+use crate::event::ORDINARY_SEQ_BASE;
 use crate::time::Time;
 
 /// Children per node.
@@ -26,7 +32,10 @@ struct Entry<E> {
 /// A 4-ary min-heap future-event list (see module docs).
 pub struct QuadHeap<E> {
     entries: Vec<Entry<E>>,
+    /// Next ordinary sequence number (from [`ORDINARY_SEQ_BASE`]).
     next_seq: u64,
+    /// Next front sequence number (from 0).
+    next_front_seq: u64,
 }
 
 impl<E> Default for QuadHeap<E> {
@@ -40,14 +49,29 @@ impl<E> QuadHeap<E> {
     pub fn new() -> Self {
         QuadHeap {
             entries: Vec::new(),
-            next_seq: 0,
+            next_seq: ORDINARY_SEQ_BASE,
+            next_front_seq: 0,
         }
     }
 
     /// Schedule `event` to fire at absolute time `at`.
     pub fn push(&mut self, at: Time, event: E) {
-        let key = (u128::from(at.ticks()) << 64) | u128::from(self.next_seq);
+        let seq = self.next_seq;
         self.next_seq += 1;
+        self.push_keyed(at, seq, event);
+    }
+
+    /// Schedule `event` at `at`, ahead of every ordinary event at the same
+    /// instant (the front band, see module docs).
+    pub fn push_first(&mut self, at: Time, event: E) {
+        let seq = self.next_front_seq;
+        self.next_front_seq += 1;
+        debug_assert!(seq < ORDINARY_SEQ_BASE, "front sequence band exhausted");
+        self.push_keyed(at, seq, event);
+    }
+
+    fn push_keyed(&mut self, at: Time, seq: u64, event: E) {
+        let key = (u128::from(at.ticks()) << 64) | u128::from(seq);
         self.entries.push(Entry { key, event });
         self.sift_up(self.entries.len() - 1);
     }
@@ -77,12 +101,13 @@ impl<E> QuadHeap<E> {
         self.entries.is_empty()
     }
 
-    /// Drop every pending event and restart the sequence counter, keeping
-    /// the vector's allocation for reuse. After `clear` the queue is
-    /// indistinguishable from a fresh one except for retained capacity.
+    /// Drop every pending event and restart both sequence counters,
+    /// keeping the vector's allocation for reuse. After `clear` the queue
+    /// is indistinguishable from a fresh one except for retained capacity.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.next_seq = 0;
+        self.next_seq = ORDINARY_SEQ_BASE;
+        self.next_front_seq = 0;
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -173,6 +198,94 @@ mod tests {
             let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
             assert_eq!(order, (0..200).collect::<Vec<_>>());
         }
+    }
+
+    /// Front pushes pop before every ordinary push at the same instant,
+    /// whatever the push order, and stay FIFO among themselves — at the
+    /// extremes of the tick range too.
+    #[test]
+    fn front_events_beat_same_instant_ordinary_events() {
+        let mut q = QuadHeap::new();
+        for t in [
+            Time::ZERO,
+            Time::from_ticks(500),
+            Time::from_ticks(u64::MAX),
+        ] {
+            for i in 0..200u32 {
+                if i % 3 == 1 {
+                    q.push_first(t, i);
+                } else {
+                    q.push(t, i);
+                }
+            }
+            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            let fronts = (0..200).filter(|i| i % 3 == 1);
+            let ordinary = (0..200).filter(|i| i % 3 != 1);
+            assert_eq!(order, fronts.chain(ordinary).collect::<Vec<_>>());
+        }
+        // A front event never jumps an earlier instant.
+        q.push(Time::from_ticks(4), 0);
+        q.push_first(Time::from_ticks(5), 1);
+        assert_eq!(q.pop(), Some((Time::from_ticks(4), 0)));
+        assert_eq!(q.pop(), Some((Time::from_ticks(5), 1)));
+    }
+
+    /// Seeded mixed traffic — ordinary and front pushes onto time
+    /// plateaus, interleaved with pops — agrees with the binary-heap FEL.
+    #[test]
+    fn front_band_agrees_with_heap() {
+        for case in 0..20u64 {
+            let mut rng = SimRng::new(7_700 + case);
+            let mut quad = QuadHeap::new();
+            let mut heap = EventQueue::new();
+            let mut clock = 0u64;
+            for id in 0..2_000u64 {
+                let at = Time::from_ticks(clock + rng.uniform_inclusive(0, 3) * 10);
+                if rng.bernoulli(0.2) {
+                    quad.push_first(at, id);
+                    heap.push_first(at, id);
+                } else {
+                    quad.push(at, id);
+                    heap.push(at, id);
+                }
+                if rng.bernoulli(0.5) {
+                    let a = quad.pop();
+                    assert_eq!(a, heap.pop(), "case {case}");
+                    if let Some((t, _)) = a {
+                        clock = t.ticks();
+                    }
+                }
+            }
+            drain_in_lockstep(&mut quad, &mut heap, &format!("case {case} drain"));
+        }
+    }
+
+    /// `clear` restarts both sequence bands.
+    #[test]
+    fn clear_restarts_both_bands() {
+        let mut q = QuadHeap::new();
+        for i in 0..100u64 {
+            q.push(Time::from_ticks(i), i);
+            q.push_first(Time::from_ticks(i), i);
+        }
+        q.clear();
+        assert_eq!(
+            (q.next_seq, q.next_front_seq),
+            (ORDINARY_SEQ_BASE, 0),
+            "cleared counters"
+        );
+        let mut fresh = EventQueue::new();
+        for i in 0..60u64 {
+            let at = Time::from_ticks(i % 4);
+            if i % 2 == 0 {
+                q.push_first(at, i);
+                fresh.push_first(at, i);
+            } else {
+                q.push(at, i);
+                fresh.push(at, i);
+            }
+        }
+        drain_in_lockstep(&mut q, &mut fresh, "after clear");
     }
 
     /// Peeking is idempotent, removes nothing, and always names the time
@@ -283,9 +396,10 @@ mod tests {
         }
     }
 
-    /// The `capacity` shape: a 10⁵-event bootstrap of monotone pushes
-    /// (every resident transaction's first event), then steady
-    /// push/pop churn at that population, then a full drain.
+    /// A 10⁵-event population: a bootstrap of monotone pushes (the set-up
+    /// shape `capacity` runs had while every arrival was scheduled up
+    /// front), then steady push/pop churn at that population, then a full
+    /// drain. Kept as the large-population oracle check.
     #[test]
     fn capacity_bootstrap_agrees_with_heap() {
         let mut rng = SimRng::new(100_029);

@@ -35,13 +35,17 @@ fi
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
-echo "== lock-table figure goldens (extB/extD/extG/extH byte-identical to results/)"
+echo "== figure goldens (extA/extB/extD/extE/extF/extG/extH/extI byte-identical to results/)"
 # The explicit and hierarchical conflict models have no golden test of
-# their own; these four figures are their end-to-end pin. Regenerate each
-# at full scale and compare the JSON byte for byte.
+# their own; extB/extD/extG/extH are their end-to-end pin. extA is the
+# only figure with a non-empty admission queue, where transactions draw
+# their workload at admission. extE and extF move if an arrival loses a
+# same-instant tie to another event (the arrival chain's front band);
+# extF also runs the failure/repair events. extI pins incremental 2PL.
+# Regenerate each at full scale and compare the JSON byte for byte.
 golden_dir=$(mktemp -d "${TMPDIR:-/tmp}/lockgran-golden.XXXXXX")
 trap 'rm -rf "$golden_dir"' EXIT
-for fig in extB extD extG extH; do
+for fig in extA extB extD extE extF extG extH extI; do
     cargo run --offline -q --release --bin lockgran -- "$fig" --jobs 2 --out "$golden_dir" > /dev/null
     cmp "$golden_dir/$fig.json" "results/$fig.json" \
         || { echo "$fig.json differs from results/$fig.json"; exit 1; }

@@ -99,3 +99,24 @@ fn config_json_round_trip_runs_identically() {
     assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
     assert_eq!(a.totcom, b.totcom);
 }
+
+/// Golden snapshot of a run whose arrivals tie with other events: 200
+/// arrivals one time unit apart land on instants where deterministic
+/// lock-share and stage completions also fire. Each arrival must win
+/// those ties, as it did when every arrival was scheduled first at
+/// set-up; the arrival chain keeps that order through the executor's
+/// front band. An arrival chain scheduled in the ordinary band changes
+/// every value below.
+#[test]
+fn arrival_ties_golden_snapshot() {
+    let m = run(
+        &ModelConfig::table1().with_ntrans(200).with_tmax(1_000.0),
+        42,
+    );
+    assert_eq!(m.totcom, 136);
+    assert_eq!(m.throughput, 0.136);
+    assert_eq!(m.response_time, 355.057_647_058_823_4);
+    assert_eq!(m.lock_attempts, 2701);
+    assert_eq!(m.lock_denials, 2548);
+    assert_eq!(m.denial_rate, 0.943_354_313_217_326_9);
+}
